@@ -24,8 +24,8 @@ together with every substrate it depends on:
   ``manifest.json`` + ``arrays.npz`` bundles) and the batch
   characterization service plus its ``fit|score|inspect`` CLI.
 * :mod:`repro.stream` -- the streaming session layer: incremental event
-  ingestion, online feature maintenance, live multi-session
-  characterization, checkpoints, and the ``replay`` CLI.
+  ingestion into per-session buffers (features derived on read), live
+  multi-session characterization, checkpoints, and the ``replay`` CLI.
 * :mod:`repro.kernels` -- fast-vs-oracle selection for the vectorized
   hot-path kernels (``REPRO_KERNELS`` / :func:`repro.kernels.use_kernels`).
 

@@ -259,6 +259,28 @@ def write_arrays(
     return info
 
 
+def _plain_name(value, field: str, bundle: Path, error: type) -> str:
+    """``value`` if it names an entry directly inside ``bundle``, else raise.
+
+    Manifest file and directory entries are untrusted input: an absolute
+    path, a ``..`` or a nested component would load arrays from outside
+    the bundle.
+    """
+    # Path(...).name drops every directory part and the root; "", ".."
+    # and NUL are the names that check lets through.
+    if (
+        not isinstance(value, str)
+        or value in ("", "..")
+        or "\0" in value
+        or Path(value).name != value
+    ):
+        raise error(
+            f"bundle {bundle} manifest entry {field}={value!r} is not a plain "
+            "file name inside the bundle"
+        )
+    return value
+
+
 def read_arrays(
     bundle_dir,
     info: Optional[dict] = None,
@@ -283,7 +305,9 @@ def read_arrays(
         layouts always materialize in RAM (zip members cannot be
         mapped).
     error:
-        Exception class raised on failure.
+        Exception class raised on failure — including a ``file``, ``dir``
+        or ``files`` entry that is not a plain file name inside the
+        bundle (absolute, ``..``, nested or not a string).
 
     Returns
     -------
@@ -295,7 +319,9 @@ def read_arrays(
     layout_name = (info or {}).get("layout")
     layout = as_layout(layout_name) if layout_name else BundleLayout.NPZ_COMPRESSED
     if layout in (BundleLayout.NPZ_COMPRESSED, BundleLayout.NPZ):
-        file_name = (info or {}).get("file", f"{DEFAULT_ARRAYS_NAME}.npz")
+        file_name = _plain_name(
+            (info or {}).get("file", f"{DEFAULT_ARRAYS_NAME}.npz"), "file", bundle, error
+        )
         arrays_path = bundle / file_name
         if not arrays_path.is_file():
             raise error(f"bundle {bundle} is missing {arrays_path.name} (truncated?)")
@@ -307,7 +333,9 @@ def read_arrays(
                 f"bundle {bundle} has an unreadable {arrays_path.name} ({err}); "
                 "the bundle is corrupt or truncated"
             ) from err
-    directory = bundle / (info or {}).get("dir", DEFAULT_ARRAYS_NAME)
+    directory = bundle / _plain_name(
+        (info or {}).get("dir", DEFAULT_ARRAYS_NAME), "dir", bundle, error
+    )
     files = (info or {}).get("files")
     if not isinstance(files, dict):
         raise error(
@@ -318,7 +346,7 @@ def read_arrays(
         raise error(f"bundle {bundle} is missing its {directory.name}/ array directory")
     arrays: dict[str, np.ndarray] = {}
     for key, file_name in files.items():
-        array_path = directory / file_name
+        array_path = directory / _plain_name(file_name, f"files[{key!r}]", bundle, error)
         if not array_path.is_file():
             raise error(
                 f"bundle {bundle} is missing array file {directory.name}/{file_name} "

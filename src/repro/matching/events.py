@@ -41,11 +41,10 @@ def bin_position(
 ) -> tuple[int, int]:
     """Grid cell of one position: the scalar heat-map binning rule.
 
-    The single source of truth for clip-truncate-cap binning, shared by
-    the retained scalar oracle (:meth:`EventArray.heat_map_counts_loop`)
-    and the streaming per-event fast path
-    (:class:`repro.stream.IncrementalHeatMap`); the vectorized
-    :meth:`EventArray.heat_map_counts` is bitwise-identical to it.
+    The single source of truth for clip-truncate-cap binning, used by the
+    retained scalar oracle (:meth:`EventArray.heat_map_counts_loop`); the
+    vectorized :meth:`EventArray.heat_map_counts` is bitwise-identical to
+    it.
     """
     rows, cols = shape
     screen_rows, screen_cols = screen

@@ -1,4 +1,4 @@
-"""Streaming session layer: live ingestion, online features, live scoring.
+"""Streaming session layer: live ingestion, live scoring, checkpoints.
 
 Everything upstream of this package is one-shot: a
 :class:`~repro.matching.matcher.HumanMatcher` is materialised in full,
@@ -16,11 +16,9 @@ characterizations stay continuously current:
   events for the screened ingest path (live serving keeps going, the
   committed stream stays bitwise identical to a clean run on the
   survivors);
-* :mod:`repro.stream.incremental` — online maintainers for the hot
-  behavioral features (heat maps, per-type counts, Welford running
-  statistics), provably equivalent to batch recomputation;
 * :mod:`repro.stream.session` — :class:`SessionManager`: many concurrent
-  sessions with LRU/idle eviction, dirty-flagging, and batched
+  sessions (each one event buffer plus decisions; features are derived
+  from the buffer on read) with LRU/idle eviction, dirty-flagging, and batched
   re-characterization through the
   :class:`~repro.serve.CharacterizationService`;
 * :mod:`repro.stream.checkpoint` — versioned, fingerprinted
@@ -40,12 +38,6 @@ from repro.stream.checkpoint import (
     read_checkpoint_manifest,
     save_checkpoint,
 )
-from repro.stream.incremental import (
-    IncrementalHeatMap,
-    IncrementalMotionStats,
-    IncrementalTypeCounts,
-    SessionFeatureState,
-)
 from repro.stream.ingest import StreamingEventBuffer, StreamOrderError
 from repro.stream.quarantine import (
     QUARANTINE_REASONS,
@@ -60,10 +52,6 @@ __all__ = [
     "QUARANTINE_REASONS",
     "QuarantineLog",
     "QuarantinedEvent",
-    "IncrementalHeatMap",
-    "IncrementalTypeCounts",
-    "IncrementalMotionStats",
-    "SessionFeatureState",
     "MatcherSession",
     "SessionManager",
     "CHECKPOINT_FORMAT",

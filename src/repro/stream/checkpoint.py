@@ -11,16 +11,17 @@ A checkpoint follows the serve artifact format conventions
   has no fingerprint to verify) warns instead of proceeding silently;
 * the session arrays — every session's exact state as flat arrays: the
   event buffer (committed and pending columns, arrival sequence numbers,
-  watermark scalars), the incremental feature maintainers (heat-map
-  grid, type counts, motion-statistics vector), the decision history,
-  the dirty flag and the latest scores.  Ragged per-session data uses
-  the concatenated-arrays-plus-offsets encoding of
+  watermark scalars), the decision history, the dirty flag and the
+  latest scores.  Features are derived from the buffer on read, so none
+  are stored.  Ragged per-session data uses the
+  concatenated-arrays-plus-offsets encoding of
   :mod:`repro.serve.population`.  Arrays are written through the shared
-  :mod:`repro.io.bundle` codec: format version 2 defaults to the
-  memory-mappable ``mmap-dir`` layout (restores load columns with
-  ``np.load(mmap_mode="r")`` and copy only what sessions own), while
-  format-version-1 checkpoints (a single compressed ``arrays.npz``)
-  remain fully readable.
+  :mod:`repro.io.bundle` codec: the default is the memory-mappable
+  ``mmap-dir`` layout (restores load columns with
+  ``np.load(mmap_mode="r")`` and copy only what sessions own).
+  Format-version-1 checkpoints (a single compressed ``arrays.npz``) and
+  version-2 checkpoints (which also stored per-session feature state)
+  remain fully readable; the restore ignores their legacy fields.
 
 Restore rebuilds sessions whose future behaviour is *identical* to the
 saved ones: ``tests/stream/test_checkpoint.py`` asserts that
@@ -55,24 +56,23 @@ from repro.io.bundle import (
     write_arrays,
 )
 from repro.runtime.faults import ReproRuntimeWarning, active_injector
-from repro.matching.events import N_EVENT_TYPES
 from repro.matching.history import Decision
 from repro.matching.mouse import MovementMap
 from repro.serve.artifacts import ArtifactError
 from repro.serve.service import CharacterizationService
-from repro.stream.incremental import IncrementalMotionStats, SESSION_HEAT_SHAPE
 from repro.stream.ingest import StreamingEventBuffer
 from repro.stream.session import MatcherSession, SessionManager
 
 #: Checkpoint format identifier written into every manifest.
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 
-#: Current checkpoint format version (2 = shared-codec layouts; 1 = the
+#: Current checkpoint format version (3 = buffer + decisions only; 2 =
+#: shared-codec layouts plus per-session feature state; 1 = the
 #: historical compressed ``arrays.npz``).
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Format versions load_checkpoint / read_checkpoint_manifest accept.
-SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
+SUPPORTED_CHECKPOINT_VERSIONS = (1, 2, 3)
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
@@ -84,8 +84,12 @@ _BUFFER_KEYS = (
     "pending_x", "pending_y", "pending_codes", "pending_t", "pending_seq",
 )
 
-#: Width of the ``IncrementalMotionStats.state()`` vector.
-_MOTION_STATE_WIDTH = 18
+#: Width of a ``buffer_scalars`` row (``StreamingEventBuffer.state()``).
+_BUFFER_SCALARS = 4
+
+#: Versions 1-2 also stored the retired drain cursor at this column of
+#: ``buffer_scalars``; restores drop it.
+_LEGACY_DRAINED_COLUMN = 3
 
 #: Number of expert characteristics in the stored score rows.
 _N_LABELS = len(EXPERT_CHARACTERISTICS)
@@ -150,9 +154,6 @@ def save_checkpoint(
     buffer_chunks: dict[str, list[np.ndarray]] = {key: [] for key in _BUFFER_KEYS}
     buffer_scalars: list[np.ndarray] = []
     decision_chunks: list[np.ndarray] = []
-    heat_grids = np.zeros((len(sessions), *SESSION_HEAT_SHAPE), dtype=np.float64)
-    type_counts = np.zeros((len(sessions), N_EVENT_TYPES), dtype=np.int64)
-    motion_states = np.zeros((len(sessions), _MOTION_STATE_WIDTH), dtype=np.float64)
     shapes = np.zeros((len(sessions), 2), dtype=np.int64)
     screens = np.zeros((len(sessions), 2), dtype=np.int64)
     flags = np.zeros((len(sessions), 3), dtype=np.float64)  # dirty, scored, n_char
@@ -171,9 +172,6 @@ def save_checkpoint(
                 dtype=np.float64,
             ).reshape(-1, 4)
         )
-        heat_grids[index] = session.features.heat.counts
-        type_counts[index] = session.features.type_counts.counts
-        motion_states[index] = session.features.motion.state()
         shapes[index] = session.shape
         screens[index] = session.screen
         flags[index, 0] = 1.0 if session.dirty else 0.0
@@ -195,14 +193,11 @@ def save_checkpoint(
     arrays["decisions"] = decisions_flat
     arrays["decision_offsets"] = decision_offsets
     arrays["buffer_scalars"] = (
-        np.vstack(buffer_scalars) if buffer_scalars else np.zeros((0, 5))
+        np.vstack(buffer_scalars) if buffer_scalars else np.zeros((0, _BUFFER_SCALARS))
     )
     arrays["ids"] = np.array(
         [session.session_id for session in sessions], dtype=np.str_
     )
-    arrays["heat_grids"] = heat_grids
-    arrays["type_counts"] = type_counts
-    arrays["motion_states"] = motion_states
     arrays["shapes"] = shapes
     arrays["screens"] = screens
     arrays["flags"] = flags
@@ -365,9 +360,8 @@ def load_checkpoint(
 
     n_sessions = int(manifest.get("n_sessions", 0))
     required = [
-        "ids", "buffer_scalars", "decisions", "decision_offsets", "heat_grids",
-        "type_counts", "motion_states", "shapes", "screens", "flags",
-        "activity", "labels", "probabilities",
+        "ids", "buffer_scalars", "decisions", "decision_offsets", "shapes",
+        "screens", "flags", "activity", "labels", "probabilities",
     ]
     required += [key for name in _BUFFER_KEYS for key in (name, f"{name}_offsets")]
     missing = [key for key in required if key not in arrays]
@@ -378,6 +372,18 @@ def load_checkpoint(
             f"checkpoint {bundle} declares {n_sessions} sessions but stores "
             f"{arrays['ids'].shape[0]}"
         )
+    # Versions 1-2 also carry heat_grids / type_counts / motion_states and
+    # a drain cursor column; the restore derives nothing from them.
+    legacy = int(manifest["format_version"]) < 3
+    scalars = arrays["buffer_scalars"]
+    width = _BUFFER_SCALARS + (1 if legacy else 0)
+    if scalars.shape != (n_sessions, width):
+        raise CheckpointError(
+            f"checkpoint {bundle} stores buffer scalars of shape {scalars.shape}, "
+            f"expected {(n_sessions, width)}"
+        )
+    if legacy:
+        scalars = np.delete(scalars, _LEGACY_DRAINED_COLUMN, axis=1)
 
     for index in range(n_sessions):
         shape = (int(arrays["shapes"][index, 0]), int(arrays["shapes"][index, 1]))
@@ -388,17 +394,11 @@ def load_checkpoint(
             quarantine=quarantine,
         )
 
-        state = {"scalars": arrays["buffer_scalars"][index]}
+        state = {"scalars": scalars[index]}
         for key in _BUFFER_KEYS:
             offsets = arrays[f"{key}_offsets"]
             state[key] = arrays[key][int(offsets[index]) : int(offsets[index + 1])]
         session.buffer = StreamingEventBuffer.from_state(state)
-
-        session.features.heat.counts = arrays["heat_grids"][index].copy()
-        session.features.type_counts.counts = arrays["type_counts"][index].copy()
-        session.features.motion = IncrementalMotionStats.from_state(
-            arrays["motion_states"][index]
-        )
 
         start = int(arrays["decision_offsets"][index])
         end = int(arrays["decision_offsets"][index + 1])

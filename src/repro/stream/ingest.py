@@ -22,9 +22,9 @@ watermark scheme:
   merged into the sorted columns in stable ``(timestamp, arrival)``
   order, exactly the order ``EventArray`` gives the same events in one
   batch;
-* committed events are final: nothing can arrive before them anymore, so
-  incremental feature maintainers (:mod:`repro.stream.incremental`) can
-  consume them exactly once via :meth:`StreamingEventBuffer.drain`.
+* committed events are final: nothing can arrive before them anymore
+  (:meth:`StreamingEventBuffer.committed` is the stable prefix that
+  session reports are derived from).
 
 With ``reorder_window=0`` (the default) timestamps must be non-decreasing
 and every event commits immediately.
@@ -98,12 +98,11 @@ class _GrowableColumns:
         self.t[self.size : end] = t
         self.size = end
 
-    def view(self, start: int = 0, end: Optional[int] = None) -> EventArray:
-        """A zero-copy, read-only ``EventArray`` over ``[start, end)``."""
-        end = self.size if end is None else end
+    def view(self) -> EventArray:
+        """A zero-copy, read-only ``EventArray`` over the filled prefix."""
+        end = self.size
         return EventArray(
-            self.x[start:end], self.y[start:end],
-            self.codes[start:end], self.t[start:end],
+            self.x[:end], self.y[:end], self.codes[:end], self.t[:end],
             assume_sorted=True, validate=False,
         )
 
@@ -137,7 +136,6 @@ class StreamingEventBuffer:
         self._max_t = -np.inf
         self._floor = -np.inf  # raised by flush(); commits below it are final
         self._arrivals = 0
-        self._drained = 0  # committed prefix already handed to drain()
         # Duplicate tracking for extend_screened(): (t, x, y, code) keys of
         # events at or above the watermark.  Lazily seeded from snapshot()
         # on the first screened ingest (covers checkpoint restore), pruned
@@ -412,16 +410,6 @@ class StreamingEventBuffer:
         """Zero-copy view of the committed (final, time-sorted) region."""
         return self._committed.view()
 
-    def drain(self) -> EventArray:
-        """Events committed since the previous :meth:`drain` (exactly once).
-
-        The incremental maintainers consume this: each committed event is
-        delivered exactly once, in committed (stable time-sorted) order.
-        """
-        view = self._committed.view(self._drained)
-        self._drained = self._committed.size
-        return view
-
     def window(self, start: float, end: float) -> EventArray:
         """Committed events in ``[start, end]`` (``searchsorted`` slice)."""
         return self.committed().slice_between(start, end)
@@ -479,8 +467,7 @@ class StreamingEventBuffer:
             "pending_t": np.array([entry[0] for entry in pending], dtype=np.float64),
             "pending_seq": np.array([entry[1] for entry in pending], dtype=np.int64),
             "scalars": np.array(
-                [self.reorder_window, self._max_t, self._arrivals, self._drained,
-                 self._floor],
+                [self.reorder_window, self._max_t, self._arrivals, self._floor],
                 dtype=np.float64,
             ),
         }
@@ -488,7 +475,7 @@ class StreamingEventBuffer:
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> "StreamingEventBuffer":
         """Rebuild a buffer whose future behaviour is identical to the saved one."""
-        reorder_window, max_t, arrivals, drained, floor = (
+        reorder_window, max_t, arrivals, floor = (
             float(value) for value in state["scalars"]
         )
         buffer = cls(
@@ -515,7 +502,6 @@ class StreamingEventBuffer:
         buffer._max_t = max_t
         buffer._floor = floor
         buffer._arrivals = int(arrivals)
-        buffer._drained = int(drained)
         return buffer
 
     def __repr__(self) -> str:

@@ -46,7 +46,7 @@ Both layers account into the same log, so operators see one exact
 per-reason budget for everything that was dropped.
 
 The screening invariant: the surviving events are fed to the strict path
-unchanged, so ``drain()`` / ``snapshot()`` are bitwise identical to a
+unchanged, so ``committed()`` / ``snapshot()`` are bitwise identical to a
 clean run ingesting only the survivors.
 """
 

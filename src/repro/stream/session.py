@@ -2,9 +2,10 @@
 
 :class:`SessionManager` is the control plane of the streaming layer: it
 tracks many concurrent matcher sessions, each one an append-friendly
-event buffer plus incrementally-maintained features and a growing
-decision history, and keeps their expertise characterizations current by
-re-scoring **only the sessions that changed** (dirty-flagged) in batches
+event buffer plus a growing decision history (features are derived from
+the buffer when they are read), and keeps their expertise
+characterizations current by re-scoring **only the sessions that
+changed** (dirty-flagged) in batches
 through the existing :class:`~repro.serve.CharacterizationService` — so
 live scoring inherits the serving layer's determinism contract: scores
 are bitwise identical on every :class:`~repro.runtime.TaskRunner`
@@ -34,11 +35,10 @@ import numpy as np
 from repro import obs
 from repro.matching.history import Decision, DecisionHistory
 from repro.matching.matcher import HumanMatcher
-from repro.matching.mouse import MovementMap
+from repro.matching.mouse import HeatMap, MovementMap
 from repro.runtime import RuntimeSpec
 from repro.runtime.faults import active_injector
 from repro.serve.service import BatchScores, CharacterizationService
-from repro.stream.incremental import SessionFeatureState
 from repro.stream.ingest import StreamingEventBuffer
 from repro.stream.quarantine import QuarantineLog, corrupt_event_columns
 
@@ -54,9 +54,13 @@ _INGESTED_EVENTS = obs.MetricHandle(
     "Events accepted into session buffers (post-screening).",
 )
 
+#: Grid of the coverage figure in :meth:`MatcherSession.report` — the
+#: 24x32 heat-map grid of :class:`~repro.core.features.mouse.MouseFeatures`.
+REPORT_HEAT_SHAPE: tuple[int, int] = (24, 32)
+
 
 class MatcherSession:
-    """One live matcher: event buffer, incremental features, decisions, scores."""
+    """One live matcher: event buffer, decisions, latest scores."""
 
     def __init__(
         self,
@@ -73,7 +77,6 @@ class MatcherSession:
         self.shape = (int(rows), int(cols))
         self.screen = (int(screen[0]), int(screen[1]))
         self.buffer = StreamingEventBuffer(reorder_window=reorder_window)
-        self.features = SessionFeatureState(self.screen)
         self.quarantine = quarantine
         self.decisions: list[Decision] = []
         self.dirty = False
@@ -88,7 +91,7 @@ class MatcherSession:
     # ------------------------------------------------------------------ #
 
     def ingest_events(self, x, y, codes, t) -> None:
-        """Append a column batch of mouse events and advance the features.
+        """Append a column batch of mouse events to the session buffer.
 
         With a quarantine log configured the batch goes through the
         screened path (:meth:`StreamingEventBuffer.extend_screened`):
@@ -118,7 +121,6 @@ class MatcherSession:
         else:
             self.buffer.extend(x, y, codes, t)
         self._ingests += 1
-        self.features.update(self.buffer.drain())
         accepted = len(self.buffer) - before
         if accepted > 0:
             self.last_activity = max(self.last_activity, self.buffer.max_timestamp)
@@ -163,17 +165,32 @@ class MatcherSession:
         )
 
     def report(self) -> dict:
-        """Live monitoring snapshot (incremental features, no replay)."""
-        payload = self.features.report()
-        payload.update(
-            {
-                "session_id": self.session_id,
-                "n_decisions": len(self.decisions),
-                "dirty": self.dirty,
-                "n_pending_events": self.buffer.n_pending,
-                "n_characterizations": self.n_characterizations,
-            }
-        )
+        """Live monitoring snapshot, derived from the committed events.
+
+        Pending events (still inside the reorder window) are excluded
+        from the behavioural figures; ``n_pending_events`` counts them.
+        """
+        events = self.buffer.committed()
+        duration = events.duration()
+        path_length = events.path_length()
+        heat_map = HeatMap(events.heat_map_counts(self.screen, REPORT_HEAT_SHAPE))
+        payload = {
+            "n_events": len(events),
+            "counts_by_code": events.counts_by_code().tolist(),
+            "duration": duration,
+            "path_length": path_length,
+            "mean_speed": path_length / duration if duration > 0 else 0.0,
+            "mean_position": (
+                (float(events.x.mean()), float(events.y.mean()))
+                if len(events) else (0.0, 0.0)
+            ),
+            "coverage": heat_map.coverage(),
+            "session_id": self.session_id,
+            "n_decisions": len(self.decisions),
+            "dirty": self.dirty,
+            "n_pending_events": self.buffer.n_pending,
+            "n_characterizations": self.n_characterizations,
+        }
         if self.quarantine is not None:
             payload["quarantined"] = self.quarantine.session_counts(self.session_id)
         return payload
@@ -312,8 +329,9 @@ class SessionManager:
     def adopt(self, session: MatcherSession) -> MatcherSession:
         """Take ownership of an existing session (shard rebalancing hook).
 
-        The session object is registered as-is — buffers, features,
-        decisions and cached scores move wholesale, so a rebalanced
+        The session object is registered as-is.  Its state is the event
+        buffer plus decisions (features are derived on read), so buffer,
+        decisions and cached scores move wholesale and a rebalanced
         session's future behaviour is identical to an unmoved one.  The
         adopted session is placed at the most-recently-used end and the
         manager's quarantine log (if any) replaces the session's.
@@ -480,7 +498,7 @@ class SessionManager:
     # ------------------------------------------------------------------ #
 
     def reports(self) -> dict[str, dict]:
-        """Live incremental-feature reports for every session (LRU order)."""
+        """Live monitoring reports for every session (LRU order)."""
         return {
             session_id: session.report()
             for session_id, session in self._sessions.items()

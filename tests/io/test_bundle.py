@@ -15,6 +15,8 @@ from repro.io.bundle import (
     write_arrays,
 )
 
+from tests.io.escapes import CASES, escaping_entry
+
 LAYOUTS = tuple(BundleLayout)
 
 
@@ -129,6 +131,21 @@ def test_mmap_dir_missing_array_file(tmp_path):
     (tmp_path / "b" / "arrays" / info["files"]["b"]).unlink()
     with pytest.raises(BundleError, match="missing array file"):
         read_arrays(tmp_path / "b", info)
+
+
+@pytest.mark.parametrize("layout, case", CASES)
+def test_manifest_entries_confined_to_bundle(tmp_path, layout, case):
+    """Absolute, ``..``, nested and non-string entries raise the caller's error."""
+
+    class MyError(BundleError):
+        pass
+
+    bundle = tmp_path / "b"
+    info = write_arrays(bundle, _sample_arrays(), layout=layout)
+    entry = escaping_entry(bundle, info, case)
+    with pytest.raises(MyError, match="not a plain file name"):
+        read_arrays(bundle, entry, error=MyError)
+    read_arrays(bundle, info)  # the untouched entry still loads
 
 
 def test_custom_error_class(tmp_path):

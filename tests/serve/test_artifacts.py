@@ -32,6 +32,8 @@ from repro.serve.artifacts import (
 )
 from repro.serve.population import load_population, save_population
 
+from tests.io.escapes import CASES, escaping_entry
+
 ESTIMATOR_FACTORIES = {
     "decision_tree": lambda: DecisionTreeClassifier(max_depth=4, random_state=0),
     "decision_tree_unbounded": lambda: DecisionTreeClassifier(max_depth=None, random_state=1),
@@ -279,6 +281,18 @@ def test_legacy_v1_bundle_still_loads(classification_data, tmp_path):
     (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
     loaded = load_model(bundle)
     assert np.array_equal(loaded.predict_proba(X_new), model.predict_proba(X_new))
+
+
+@pytest.mark.parametrize("layout, case", CASES)
+def test_load_confines_array_paths_to_bundle(classification_data, tmp_path, layout, case):
+    """A crafted manifest cannot make load_model read arrays outside the bundle."""
+    X, y, _ = classification_data
+    bundle = save_model(GaussianNB().fit(X, y), tmp_path / "model", layout=layout)
+    manifest = json.loads((bundle / MANIFEST_NAME).read_text())
+    manifest["arrays"] = escaping_entry(bundle, manifest["arrays"], case)
+    (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(ArtifactError, match="not a plain file name"):
+        load_model(bundle)
 
 
 def test_mmap_dir_tamper_fails_fingerprint(classification_data, tmp_path):

@@ -54,7 +54,7 @@ def test_replay_checkpoint_resume_inspect(fast_service, tmp_path, capsys):
 
     assert cli.main(["inspect", "--checkpoint", checkpoint]) == 0
     inspected = capsys.readouterr().out
-    assert "repro-stream-checkpoint v2" in inspected
+    assert "repro-stream-checkpoint v3" in inspected
     assert "sessions:       3" in inspected
 
     resumed = [

@@ -96,25 +96,7 @@ class TestReorderWindow:
         np.testing.assert_array_equal(snapshot.codes, [1, 0])
 
 
-class TestDrain:
-    def test_each_committed_event_delivered_exactly_once(self):
-        rng = np.random.default_rng(0)
-        x, y, codes, t = random_trace(rng, 60)
-        buffer = StreamingEventBuffer()
-        seen = []
-        for start in range(0, 60, 7):
-            buffer.extend(
-                x[start : start + 7], y[start : start + 7],
-                codes[start : start + 7], t[start : start + 7],
-            )
-            seen.append(buffer.drain())
-        total = sum(len(chunk) for chunk in seen)
-        assert total == 60
-        np.testing.assert_array_equal(
-            np.concatenate([chunk.t for chunk in seen]), buffer.committed().t
-        )
-        assert len(buffer.drain()) == 0  # nothing new
-
+class TestWindow:
     def test_window_slicing_uses_committed_region(self):
         buffer = StreamingEventBuffer()
         buffer.extend([1.0, 2.0, 3.0], [0.0] * 3, [0] * 3, [1.0, 2.0, 3.0])
@@ -150,10 +132,10 @@ class TestStateRoundTrip:
         x, y, codes, t = jittered(random_trace(rng, 40), rng, lag=3.0)
         original = StreamingEventBuffer(reorder_window=3.0)
         original.extend(x[:25], y[:25], codes[:25], t[:25])
-        original.drain()
         restored = StreamingEventBuffer.from_state(original.state())
         assert restored.watermark == original.watermark
-        assert len(restored.drain()) == 0  # drain pointer restored too
+        assert restored.n_pending == original.n_pending
+        np.testing.assert_array_equal(original.committed().t, restored.committed().t)
         for buffer in (original, restored):
             buffer.extend(x[25:], y[25:], codes[25:], t[25:])
             buffer.flush()
@@ -162,4 +144,3 @@ class TestStateRoundTrip:
                 getattr(original.snapshot(), column),
                 getattr(restored.snapshot(), column),
             )
-        np.testing.assert_array_equal(original.drain().t, restored.drain().t)

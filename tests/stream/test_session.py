@@ -1,8 +1,11 @@
 """SessionManager: dirty-flagging, eviction, and live-score determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.matching.events import N_EVENT_TYPES
 from repro.serve.service import CharacterizationService
 from repro.stream import SessionManager
 from repro.stream.cli import _replay
@@ -164,7 +167,7 @@ class TestScoreDeterminism:
 
 
 class TestReports:
-    def test_reports_expose_incremental_state(self, stream_service, workload):
+    def test_reports_expose_session_state(self, stream_service, workload):
         manager = SessionManager(stream_service)
         matcher = workload[0]
         _feed_full_trace(manager, matcher)
@@ -177,3 +180,44 @@ class TestReports:
         stats = manager.stats()
         assert stats["n_sessions"] == 1
         assert stats["n_dirty"] == 1
+
+    def test_report_matches_batch_over_committed(self, stream_service, workload):
+        """report() == a one-shot computation over committed(), every chunk.
+
+        Integer fields bitwise, float fields to rel=1e-12; events still
+        inside the reorder window are excluded from the figures.
+        """
+        manager = SessionManager(stream_service, reorder_window=2.0)
+        matcher = workload[0]
+        session = manager.open(
+            matcher.matcher_id, matcher.history.shape, screen=matcher.movement.screen
+        )
+        data = matcher.movement.data
+        saw_pending = False
+        for start in range(0, len(data), 37):
+            sl = slice(start, start + 37)
+            manager.ingest_events(
+                matcher.matcher_id, data.x[sl], data.y[sl], data.codes[sl], data.t[sl]
+            )
+            report = session.report()
+            events = session.buffer.committed()
+            n = len(events)
+            saw_pending |= report["n_pending_events"] > 0
+            assert report["n_events"] == n == session.buffer.n_committed
+            assert report["counts_by_code"] == np.bincount(
+                events.codes, minlength=N_EVENT_TYPES
+            ).tolist()
+            heat = events.heat_map_counts_loop(session.screen, (24, 32))
+            path = math.fsum(np.hypot(np.diff(events.x), np.diff(events.y)))
+            duration = float(events.t[-1] - events.t[0]) if n >= 2 else 0.0
+            expected = {
+                "duration": duration,
+                "path_length": path,
+                "mean_speed": path / duration if duration > 0 else 0.0,
+                "coverage": np.count_nonzero(heat) / heat.size,
+            }
+            for key, value in expected.items():
+                assert report[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            mean = (math.fsum(events.x) / n, math.fsum(events.y) / n) if n else (0.0, 0.0)
+            assert report["mean_position"] == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert saw_pending

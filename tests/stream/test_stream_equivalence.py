@@ -1,28 +1,25 @@
-"""Property-style streaming equivalence: incremental state == batch recompute.
+"""Property-style streaming equivalence: the buffer == a one-shot EventArray.
 
-Replays random traces through a :class:`StreamingEventBuffer` +
-:class:`SessionFeatureState` in random chunkings — including one-event
-chunks and arrivals reordered inside the reorder window — and asserts at
-**every** chunk boundary that the incrementally-maintained state equals a
-full batch recomputation over the same committed events:
-
-* bitwise for the integer-valued features (heat-map counts, type counts,
-  event counts),
-* tight tolerance for the float statistics (means, path length, speed),
-* and, after the final flush, that the buffer's snapshot is bitwise
-  identical to a one-shot :class:`EventArray` over the whole trace.
+Replays random traces through a :class:`StreamingEventBuffer` in random
+chunkings — including one-event chunks and arrivals reordered inside the
+reorder window — and asserts at **every** chunk boundary that the
+buffer's snapshot (committed + pending) is bitwise identical to a
+one-shot :class:`EventArray` over the events that have arrived, and that
+its committed region is that array's prefix.  Session features are
+derived from these columns on read, so this is the whole streaming
+equivalence contract.
 """
 
 import numpy as np
 import pytest
 
 from repro.matching.events import EventArray
-from repro.stream import SessionFeatureState, StreamingEventBuffer
-from repro.stream.incremental import SESSION_HEAT_SHAPE, IncrementalHeatMap
+from repro.stream import StreamingEventBuffer
 
 from tests.stream.conftest import jittered, random_trace
 
 SCREEN = (768, 1024)
+COLUMNS = ("x", "y", "codes", "t")
 
 
 def _random_chunk_sizes(rng, n):
@@ -40,25 +37,19 @@ def _random_chunk_sizes(rng, n):
     return sizes
 
 
-def _assert_incremental_equals_batch(state, committed, screen):
-    """The equivalence contract, checked against the committed region."""
-    oracle = SessionFeatureState.from_batch(committed, screen)
-    np.testing.assert_array_equal(state.heat.counts, oracle.heat.counts)
-    np.testing.assert_array_equal(state.type_counts.counts, oracle.type_counts.counts)
-    assert state.motion.count == oracle.motion.count
-    assert state.motion.duration == oracle.motion.duration
-    assert state.motion.path_length == pytest.approx(
-        oracle.motion.path_length, rel=1e-12, abs=1e-9
-    )
-    assert state.motion.mean_position() == pytest.approx(
-        oracle.motion.mean_position(), rel=1e-12, abs=1e-9
-    )
-    assert state.motion.x_summary.std == pytest.approx(
-        oracle.motion.x_summary.std, rel=1e-9, abs=1e-9
-    )
-    assert state.motion.y_summary.std == pytest.approx(
-        oracle.motion.y_summary.std, rel=1e-9, abs=1e-9
-    )
+def _assert_buffer_equals_batch(buffer, x, y, codes, t):
+    """Snapshot == one-shot EventArray of the arrivals; committed == its prefix."""
+    reference = EventArray(x, y, codes, t)
+    snapshot = buffer.snapshot()
+    committed = buffer.committed()
+    assert len(snapshot) == len(reference)
+    assert len(committed) == buffer.n_committed
+    for column in COLUMNS:
+        expected = getattr(reference, column)
+        np.testing.assert_array_equal(getattr(snapshot, column), expected)
+        np.testing.assert_array_equal(
+            getattr(committed, column), expected[: buffer.n_committed]
+        )
 
 
 @pytest.mark.parametrize("trial", range(8))
@@ -71,37 +62,27 @@ def test_random_traces_random_chunkings(trial, reorder):
     if reorder:
         columns = jittered(columns, rng, lag=reorder)
     x, y, codes, t = columns
-    reference = EventArray(x, y, codes, t)
 
     buffer = StreamingEventBuffer(reorder_window=reorder)
-    state = SessionFeatureState(SCREEN)
     start = 0
     for size in _random_chunk_sizes(rng, n):
-        sl = slice(start, start + size)
-        buffer.extend(x[sl], y[sl], codes[sl], t[sl])
-        state.update(buffer.drain())
+        buffer.extend(x[start : start + size], y[start : start + size],
+                      codes[start : start + size], t[start : start + size])
         start += size
-        # Checkpoint: incremental state vs batch recompute, every chunk.
-        _assert_incremental_equals_batch(state, buffer.committed(), SCREEN)
+        # Checkpoint: buffer columns vs one-shot recompute, every chunk.
+        _assert_buffer_equals_batch(buffer, x[:start], y[:start], codes[:start], t[:start])
 
     buffer.flush()
-    state.update(buffer.drain())
     assert buffer.n_pending == 0
-    _assert_incremental_equals_batch(state, buffer.committed(), SCREEN)
-    snapshot = buffer.snapshot()
-    for column in ("x", "y", "codes", "t"):
-        np.testing.assert_array_equal(
-            getattr(snapshot, column), getattr(reference, column)
-        )
+    _assert_buffer_equals_batch(buffer, x, y, codes, t)
 
 
 @pytest.mark.parametrize("trial", range(3))
-def test_heat_map_equivalence_survives_interleaved_sessions(trial):
-    """Independent per-session maintainers never bleed into each other."""
+def test_interleaved_sessions_never_bleed(trial):
+    """Independent per-session buffers never bleed into each other."""
     rng = np.random.default_rng(50 + trial)
     traces = [random_trace(rng, int(rng.integers(10, 120)), screen=SCREEN) for _ in range(4)]
     buffers = [StreamingEventBuffer() for _ in traces]
-    maintainers = [IncrementalHeatMap(SCREEN, SESSION_HEAT_SHAPE) for _ in traces]
     cursors = [0] * len(traces)
     while any(cursors[i] < traces[i][3].size for i in range(len(traces))):
         i = int(rng.integers(0, len(traces)))
@@ -111,11 +92,6 @@ def test_heat_map_equivalence_survives_interleaved_sessions(trial):
         size = min(int(rng.integers(1, 9)), t.size - cursors[i])
         sl = slice(cursors[i], cursors[i] + size)
         buffers[i].extend(x[sl], y[sl], codes[sl], t[sl])
-        maintainers[i].update(buffers[i].drain())
         cursors[i] += size
-    for trace, maintainer in zip(traces, maintainers):
-        batch = EventArray(*trace)
-        np.testing.assert_array_equal(
-            maintainer.counts,
-            IncrementalHeatMap.from_batch(batch, SCREEN, SESSION_HEAT_SHAPE).counts,
-        )
+    for trace, buffer in zip(traces, buffers):
+        _assert_buffer_equals_batch(buffer, *trace)
